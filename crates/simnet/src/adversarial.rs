@@ -150,15 +150,86 @@ impl AdversarialSchedule {
             h.router == router && h.class == class && h.from_us <= now_us && now_us < h.until_us
         })
     }
+}
 
-    /// Union of the class bits `router` ever exhibits, over all windows
-    /// — the engine's precomputed fast filter (a zero mask skips the
-    /// per-window scan entirely).
-    pub(crate) fn class_mask(&self, router: RouterId) -> u8 {
-        self.hostiles
+/// A schedule's non-empty windows grouped by router, in CSR form: the
+/// engine's per-probe view of an [`AdversarialSchedule`].
+///
+/// Built in O(routers + windows) by a counting sort over the windows;
+/// [`HostileIndex::active`] then scans only the queried router's
+/// windows, behind a per-router union of class bits that lets honest
+/// routers skip even that. Windows naming a router outside the topology
+/// and empty windows (`from_us >= until_us`) are dropped: neither can
+/// ever be active for a probe.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct HostileIndex {
+    /// Per-router union of class bits (0 for honest routers).
+    mask: Vec<u8>,
+    /// `windows[offsets[r]..offsets[r + 1]]` are router `r`'s windows.
+    offsets: Vec<u32>,
+    /// `(class bit, from_us, until_us)`, grouped by router.
+    windows: Vec<(u8, u64, u64)>,
+}
+
+impl HostileIndex {
+    /// Indexes `sched` for a topology of `routers` routers.
+    pub(crate) fn new(sched: &AdversarialSchedule, routers: usize) -> Self {
+        // Clean topologies (the common case) allocate nothing.
+        if sched.is_empty() {
+            return HostileIndex::default();
+        }
+        let live = |h: &&HostileWindow| (h.router.0 as usize) < routers && h.from_us < h.until_us;
+        let mut counts = vec![0u32; routers + 1];
+        let mut mask = vec![0u8; routers];
+        for h in sched.hostiles.iter().filter(live) {
+            counts[h.router.0 as usize + 1] += 1;
+            mask[h.router.0 as usize] |= h.class.bit();
+        }
+        for r in 0..routers {
+            counts[r + 1] += counts[r];
+        }
+        if counts[routers] == 0 {
+            return HostileIndex::default();
+        }
+        let offsets = counts.clone();
+        let mut windows = vec![(0u8, 0u64, 0u64); offsets[routers] as usize];
+        for h in sched.hostiles.iter().filter(live) {
+            let slot = &mut counts[h.router.0 as usize];
+            windows[*slot as usize] = (h.class.bit(), h.from_us, h.until_us);
+            *slot += 1;
+        }
+        HostileIndex {
+            mask,
+            offsets,
+            windows,
+        }
+    }
+
+    /// No window can ever be active: the engine skips evaluation.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.windows.is_empty()
+    }
+
+    /// Union of the class bits `router` ever exhibits (0 for honest
+    /// routers and routers outside the indexed topology).
+    #[inline]
+    pub(crate) fn mask(&self, router: RouterId) -> u8 {
+        self.mask.get(router.0 as usize).copied().unwrap_or(0)
+    }
+
+    /// Is `router` exhibiting `class` at `now_us`? Agrees with
+    /// [`AdversarialSchedule::active`] for every router of the indexed
+    /// topology.
+    #[inline]
+    pub(crate) fn active(&self, router: RouterId, class: AdversarialClass, now_us: u64) -> bool {
+        let bit = class.bit();
+        if self.mask(router) & bit == 0 {
+            return false;
+        }
+        let r = router.0 as usize;
+        self.windows[self.offsets[r] as usize..self.offsets[r + 1] as usize]
             .iter()
-            .filter(|h| h.router == router && h.from_us < h.until_us)
-            .fold(0u8, |m, h| m | h.class.bit())
+            .any(|&(b, from, until)| b == bit && from <= now_us && now_us < until)
     }
 }
 
@@ -170,10 +241,12 @@ mod tests {
     fn empty_schedule_is_a_no_op() {
         let s = AdversarialSchedule::default();
         assert!(s.is_empty());
+        let idx = HostileIndex::new(&s, 4);
+        assert!(idx.is_empty());
         for c in AdversarialClass::ALL {
             assert!(!s.active(RouterId(0), c, 0));
+            assert!(!idx.active(RouterId(0), c, 0));
         }
-        assert_eq!(s.class_mask(RouterId(0)), 0);
     }
 
     #[test]
@@ -203,17 +276,19 @@ mod tests {
             .with_hostile(r, AdversarialClass::LyingTtl, 0, 100)
             .with_hostile(r, AdversarialClass::GarbageBytes, 500, 600)
             .with_hostile(RouterId(10), AdversarialClass::ZombieEcho, 0, u64::MAX);
+        let idx = HostileIndex::new(&s, 11);
         assert_eq!(
-            s.class_mask(r),
+            idx.mask(r),
             AdversarialClass::LyingTtl.bit() | AdversarialClass::GarbageBytes.bit()
         );
-        assert_eq!(
-            s.class_mask(RouterId(10)),
-            AdversarialClass::ZombieEcho.bit()
-        );
+        assert_eq!(idx.mask(RouterId(10)), AdversarialClass::ZombieEcho.bit());
+        assert_eq!(idx.mask(RouterId(8)), 0);
+        assert_eq!(idx.mask(RouterId(11)), 0, "outside the topology");
         // A degenerate (empty) window contributes nothing.
         let s = AdversarialSchedule::default().with_hostile(r, AdversarialClass::LyingTtl, 50, 50);
-        assert_eq!(s.class_mask(r), 0);
+        let idx = HostileIndex::new(&s, 11);
+        assert!(idx.is_empty());
+        assert!(!idx.active(r, AdversarialClass::LyingTtl, 50));
         assert!(!s.active(r, AdversarialClass::LyingTtl, 50));
     }
 
@@ -234,5 +309,54 @@ mod tests {
             seen |= c.bit();
         }
         assert_eq!(seen.count_ones(), 5);
+    }
+
+    fn class_of(i: u8) -> AdversarialClass {
+        AdversarialClass::ALL[i as usize % AdversarialClass::ALL.len()]
+    }
+
+    proptest::proptest! {
+        /// The per-router index agrees with the schedule's reference
+        /// scan on random schedules: overlapping windows of every class
+        /// on few routers, empty windows, and routers beyond the
+        /// topology (ignored by the index, never a panic).
+        #[test]
+        fn index_matches_schedule_scan(
+            windows in proptest::collection::vec(
+                (0u32..12, 0u8..5, (0u64..400, 0u64..400)),
+                0..40,
+            ),
+            routers in 0usize..10,
+            probes in proptest::collection::vec((0u32..12, 0u64..450), 1..60),
+        ) {
+            let mut s = AdversarialSchedule::default();
+            for &(r, c, (from, len)) in &windows {
+                // About one window in four is empty or inverted.
+                let until = if len % 4 == 0 { from.saturating_sub(len) } else { from + len };
+                s = s.with_hostile(RouterId(r), class_of(c), from, until);
+            }
+            let idx = HostileIndex::new(&s, routers);
+            let live = windows
+                .iter()
+                .any(|&(r, _, (_, len))| (r as usize) < routers && len % 4 != 0);
+            proptest::prop_assert_eq!(idx.is_empty(), !live);
+            for &(r, now) in &probes {
+                let router = RouterId(r);
+                for c in AdversarialClass::ALL {
+                    let want = (r as usize) < routers && s.active(router, c, now);
+                    proptest::prop_assert_eq!(idx.active(router, c, now), want);
+                }
+                if (r as usize) < routers {
+                    let mask = s
+                        .hostiles
+                        .iter()
+                        .filter(|h| h.router == router && h.from_us < h.until_us)
+                        .fold(0u8, |m, h| m | h.class.bit());
+                    proptest::prop_assert_eq!(idx.mask(router), mask);
+                } else {
+                    proptest::prop_assert_eq!(idx.mask(router), 0);
+                }
+            }
+        }
     }
 }

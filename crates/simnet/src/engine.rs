@@ -11,7 +11,7 @@
 //! probers never peek at ground truth, so their discoveries are earned the
 //! same way they would be on the real Internet.
 
-use crate::adversarial::{AdversarialClass, AdversarialSchedule, STORM_SPREAD};
+use crate::adversarial::{AdversarialClass, HostileIndex, STORM_SPREAD};
 use crate::flow::{self, FlowKey};
 use crate::pathcache::PathCache;
 use crate::ratelimit::TokenBucket;
@@ -233,7 +233,7 @@ impl EngineStats {
     }
 
     /// All hostile actions an injected
-    /// [`AdversarialSchedule`]
+    /// [`AdversarialSchedule`](crate::adversarial::AdversarialSchedule)
     /// performed this campaign, across every class — the adversarial
     /// mirror of [`fault_dropped_total`](Self::fault_dropped_total). A
     /// benign campaign always reports zero; a poisoned one reports
@@ -275,13 +275,10 @@ pub struct Engine {
     /// virtual clock (see [`Engine::set_fault_offset`]). The
     /// adversarial schedule is evaluated on the same shifted clock.
     fault_offset_us: u64,
-    /// Scheduled hostile responders, copied from the topology config.
-    adversarial: AdversarialSchedule,
-    /// Per-router union of hostile class bits (0 for honest routers) —
-    /// the O(1) filter in front of the schedule's window scan.
-    adv_mask: Vec<u8>,
-    /// `!adversarial.is_empty()`, cached like `has_faults`.
-    has_adversarial: bool,
+    /// The topology config's hostile windows, indexed by router. Empty
+    /// when nothing is scheduled, so the per-probe hot path pays one
+    /// branch.
+    hostile: HostileIndex,
     /// Outcome counters.
     pub stats: EngineStats,
 }
@@ -305,15 +302,7 @@ impl Engine {
             .collect();
         let faults = topo.config.faults.clone();
         let has_faults = !faults.is_empty();
-        let adversarial = topo.config.adversarial.clone();
-        let has_adversarial = !adversarial.is_empty();
-        let adv_mask = if has_adversarial {
-            (0..topo.routers.len())
-                .map(|i| adversarial.class_mask(RouterId(i as u32)))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let hostile = HostileIndex::new(&topo.config.adversarial, topo.routers.len());
         Engine {
             topo,
             buckets,
@@ -323,9 +312,7 @@ impl Engine {
             faults,
             has_faults,
             fault_offset_us: 0,
-            adversarial,
-            adv_mask,
-            has_adversarial,
+            hostile,
             stats: EngineStats::default(),
         }
     }
@@ -533,27 +520,22 @@ impl Engine {
         // shadows the next [`STORM_SPREAD`] hops with stale duplicates.
         // The shallowest hostile hop wins — nothing deeper (the true
         // expiring hop, the destination) is ever reached.
-        if self.has_adversarial {
+        if !self.hostile.is_empty() {
             let fnow = now_us.saturating_add(self.fault_offset_us);
             let scan = hops_len.min(ttl.saturating_sub(1));
             let mut hit = None;
             {
                 let hops = &self.paths[pidx].hops;
                 for (i, &h) in hops[..scan].iter().enumerate() {
-                    let mask = self.adv_mask[h.0 as usize];
-                    if mask == 0 {
+                    if self.hostile.mask(h) == 0 {
                         continue;
                     }
                     let depth = i + 1;
-                    let zombie = mask & AdversarialClass::ZombieEcho.bit() != 0
-                        && self
-                            .adversarial
-                            .active(h, AdversarialClass::ZombieEcho, fnow);
+                    let zombie = self.hostile.active(h, AdversarialClass::ZombieEcho, fnow);
                     let storm = !zombie
-                        && mask & AdversarialClass::DuplicateStorm.bit() != 0
                         && ttl <= depth + STORM_SPREAD
                         && self
-                            .adversarial
+                            .hostile
                             .active(h, AdversarialClass::DuplicateStorm, fnow);
                     if zombie || storm {
                         hit = Some((h, prev_hop_key(hops, i, vidx), depth, zombie));
@@ -936,30 +918,16 @@ impl Engine {
         }
         // Hostile mutation flags, evaluated once the response is sure
         // to be emitted (suppressed responses charge no adv counters).
-        let (adv_lie, adv_spoof, adv_garble) = if self.has_adversarial {
-            let mask = self.adv_mask[router.0 as usize];
-            if mask == 0 {
-                (false, false, false)
-            } else {
-                let fnow = now_us.saturating_add(self.fault_offset_us);
-                (
-                    mask & AdversarialClass::LyingTtl.bit() != 0
-                        && self
-                            .adversarial
-                            .active(router, AdversarialClass::LyingTtl, fnow),
-                    // Spoofing only pays off for Time Exceeded — a
-                    // spoofed Destination Unreachable names no new hop.
-                    mask & AdversarialClass::SpoofedSource.bit() != 0
-                        && ty == Icmp6Type::TimeExceeded
-                        && self
-                            .adversarial
-                            .active(router, AdversarialClass::SpoofedSource, fnow),
-                    mask & AdversarialClass::GarbageBytes.bit() != 0
-                        && self
-                            .adversarial
-                            .active(router, AdversarialClass::GarbageBytes, fnow),
-                )
-            }
+        let (adv_lie, adv_spoof, adv_garble) = if !self.hostile.is_empty() {
+            let fnow = now_us.saturating_add(self.fault_offset_us);
+            let on = |class| self.hostile.active(router, class, fnow);
+            (
+                on(AdversarialClass::LyingTtl),
+                // Spoofing only pays off for Time Exceeded — a spoofed
+                // Destination Unreachable names no new hop.
+                ty == Icmp6Type::TimeExceeded && on(AdversarialClass::SpoofedSource),
+                on(AdversarialClass::GarbageBytes),
+            )
         } else {
             (false, false, false)
         };

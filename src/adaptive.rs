@@ -81,7 +81,7 @@ use seeds::feedback::{feedback_list, FeedbackParams};
 // The workspace's shared splitmix64, for per-round generation seeds.
 use simnet::flow::mix64 as mix;
 use simnet::{EngineStats, Topology};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 use targets::{feedback_targets, stride_sample, IidStrategy, TargetSet};
@@ -1088,51 +1088,7 @@ fn run_loop(
                     }
                 }
             }
-            let mut cand: BTreeSet<Ipv6Addr> = BTreeSet::new();
-            if !fresh.is_empty() {
-                // Shared-/64 heuristic over the whole trace record:
-                // interfaces numbered out of one /64 are prime
-                // same-router candidates. Old members of a bucket with
-                // a fresh arrival re-probe, so cross-round pairs can
-                // still confirm. Recomputed from checkpointed state —
-                // resume derives it bit-identically.
-                let mut by64: BTreeMap<u64, BTreeSet<Ipv6Addr>> = BTreeMap::new();
-                for ts in &st.traces {
-                    for &w in ts.interner().words() {
-                        by64.entry((w >> 64) as u64)
-                            .or_default()
-                            .insert(Ipv6Addr::from(w));
-                    }
-                }
-                for bucket in by64.values() {
-                    if bucket.len() >= 2 && bucket.iter().any(|&a| fresh.contains(a)) {
-                        cand.extend(bucket.iter().copied());
-                    }
-                }
-                // Shared trace-neighborhood: interfaces answering at
-                // one TTL for targets in one /64 occupy the same
-                // topological position — sibling candidates even
-                // across /64 boundaries.
-                let mut byhop: BTreeMap<(u64, u8), BTreeSet<Ipv6Addr>> = BTreeMap::new();
-                for ts in &st.traces[sets_before..] {
-                    let words = ts.interner().words();
-                    for tv in ts.iter() {
-                        let t64 = (u128::from(tv.target()) >> 64) as u64;
-                        for &(ttl, aid) in tv.hop_cells() {
-                            byhop
-                                .entry((t64, ttl))
-                                .or_default()
-                                .insert(Ipv6Addr::from(words[aid as usize]));
-                        }
-                    }
-                }
-                for bucket in byhop.values() {
-                    if bucket.len() >= 2 && bucket.iter().any(|&a| fresh.contains(a)) {
-                        cand.extend(bucket.iter().copied());
-                    }
-                }
-            }
-            let cand: Vec<Ipv6Addr> = cand.into_iter().collect();
+            let cand = alias_candidates(&st.traces, sets_before, &fresh);
             let cand = stride_sample(&cand, cfg.alias.max_candidates_per_round);
             let remaining = cfg
                 .probe_budget
@@ -1370,11 +1326,97 @@ fn run_loop(
     }
 }
 
+/// The alias stage's sorted candidate interfaces for one round: every
+/// member of a bucket with at least two distinct interfaces, one of
+/// them `fresh` (a bucket with no fresh member was fully adjudicated in
+/// an earlier round). Two groupings make the buckets:
+///
+/// * shared /64, over the whole trace record: interfaces numbered out
+///   of one /64 are prime same-router candidates. Old members of a
+///   bucket with a fresh arrival re-probe, so cross-round pairs can
+///   still confirm;
+/// * shared trace neighborhood, over the round's new sets
+///   (`traces[first_new..]`): interfaces answering at one TTL for
+///   targets in one /64 occupy the same topological position — sibling
+///   candidates even across /64 boundaries.
+///
+/// Each grouping sorts and deduplicates flat keys, then walks the runs
+/// of equal bucket key; candidates come out in address order.
+/// Everything is recomputed from checkpointed state, so a resumed run
+/// derives the same candidates.
+fn alias_candidates(traces: &[TraceSet], first_new: usize, fresh: &AddrSet) -> Vec<Ipv6Addr> {
+    if fresh.is_empty() {
+        return Vec::new();
+    }
+    // Marks every member of `bucket` (distinct interface ids) if the
+    // bucket qualifies.
+    fn take(keep: &mut [bool], is_fresh: &[bool], bucket: impl Iterator<Item = usize> + Clone) {
+        if bucket.clone().nth(1).is_some() && bucket.clone().any(|i| is_fresh[i]) {
+            bucket.for_each(|i| keep[i] = true);
+        }
+    }
+    // Every interface of the record, ascending; an interface's id below
+    // is its position here.
+    let mut words: Vec<u128> = traces
+        .iter()
+        .flat_map(|ts| ts.interner().words().iter().copied())
+        .collect();
+    words.sort_unstable();
+    words.dedup();
+    let is_fresh: Vec<bool> = words
+        .iter()
+        .map(|&w| fresh.contains(Ipv6Addr::from(w)))
+        .collect();
+    let mut keep = vec![false; words.len()];
+    let mut start = 0;
+    for bucket in words.chunk_by(|a, b| a >> 64 == b >> 64) {
+        take(&mut keep, &is_fresh, start..start + bucket.len());
+        start += bucket.len();
+    }
+    // One key per hop cell: target /64, TTL, interface id.
+    let mut cells: Vec<u128> = Vec::new();
+    for ts in &traces[first_new..] {
+        let ids: Vec<u128> = ts
+            .interner()
+            .words()
+            .iter()
+            .map(|w| words.binary_search(w).expect("interner word in record") as u128)
+            .collect();
+        for tv in ts.iter() {
+            let t64 = u128::from(tv.target()) >> 64 << 64;
+            cells.extend(
+                tv.hop_cells()
+                    .iter()
+                    .map(|&(ttl, aid)| t64 | u128::from(ttl) << 32 | ids[aid as usize]),
+            );
+        }
+    }
+    // Each set's cells arrive nearly sorted (traces in target order,
+    // cells TTL-ascending), so the run-adaptive stable sort merges
+    // them faster than an unstable sort would.
+    cells.sort();
+    cells.dedup();
+    for bucket in cells.chunk_by(|a, b| a >> 32 == b >> 32) {
+        take(
+            &mut keep,
+            &is_fresh,
+            bucket.iter().map(|&c| c as u32 as usize),
+        );
+    }
+    words
+        .iter()
+        .zip(keep)
+        .filter(|&(_, k)| k)
+        .map(|(&w, _)| Ipv6Addr::from(w))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use simnet::config::TopologyConfig;
     use simnet::generate::generate;
+    use std::collections::BTreeMap;
 
     fn fixture() -> (Arc<Topology>, TargetSet) {
         let topo = Arc::new(generate(TopologyConfig::tiny(42)));
@@ -1459,5 +1501,82 @@ mod tests {
         let res = run_adaptive(&topo, &set, &cfg);
         assert_eq!(res.stop, StopReason::YieldFloor);
         assert_eq!(res.rounds.len(), 2);
+    }
+
+    /// The candidate buckets of the nested-B-tree grouping that
+    /// `alias_candidates` replaced: shared /64 over all `traces`, and
+    /// shared (target /64, TTL) over `traces[first_new..]`.
+    fn reference_buckets(traces: &[TraceSet], first_new: usize) -> [Vec<BTreeSet<Ipv6Addr>>; 2] {
+        let mut by64: BTreeMap<u64, BTreeSet<Ipv6Addr>> = BTreeMap::new();
+        for ts in traces {
+            for &w in ts.interner().words() {
+                by64.entry((w >> 64) as u64)
+                    .or_default()
+                    .insert(Ipv6Addr::from(w));
+            }
+        }
+        let mut byhop: BTreeMap<(u64, u8), BTreeSet<Ipv6Addr>> = BTreeMap::new();
+        for ts in &traces[first_new..] {
+            let words = ts.interner().words();
+            for tv in ts.iter() {
+                let t64 = (u128::from(tv.target()) >> 64) as u64;
+                for &(ttl, aid) in tv.hop_cells() {
+                    byhop
+                        .entry((t64, ttl))
+                        .or_default()
+                        .insert(Ipv6Addr::from(words[aid as usize]));
+                }
+            }
+        }
+        [by64.into_values().collect(), byhop.into_values().collect()]
+    }
+
+    #[test]
+    fn alias_candidates_match_btree_reference() {
+        let (topo, set) = fixture();
+        // Three vantages reach one target through different interfaces
+        // at the same TTL, so hop-window buckets have members to group.
+        let cfg = AdaptiveConfig {
+            vantages: vec![0, 1, 2],
+            ..small_cfg()
+        };
+        let res = run_adaptive(&topo, &set, &cfg);
+        let traces = &res.traces;
+        assert!(traces.len() >= 2);
+        let first_new = traces.len() / 2;
+        // Every tenth interface of the new sets is fresh.
+        let mut fresh = AddrSet::new();
+        for ts in &traces[first_new..] {
+            for &w in ts.interner().words().iter().step_by(10) {
+                fresh.insert(Ipv6Addr::from(w));
+            }
+        }
+        let groupings = reference_buckets(traces, first_new);
+        let has_fresh = |b: &BTreeSet<Ipv6Addr>| b.iter().any(|&a| fresh.contains(a));
+        let qualifies = |b: &&BTreeSet<Ipv6Addr>| b.len() >= 2 && has_fresh(b);
+        for buckets in &groupings {
+            assert!(buckets.iter().any(|b| qualifies(&b)));
+        }
+        let buckets = groupings.concat();
+        let want: Vec<Ipv6Addr> = buckets
+            .iter()
+            .filter(qualifies)
+            .flatten()
+            .copied()
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let got = alias_candidates(traces, first_new, &fresh);
+        assert!(!got.is_empty());
+        assert_eq!(got, want);
+        // Both exclusions bite on this data: some one-member bucket and
+        // some bucket without a fresh member leave an interface out.
+        let left_out = |b: &BTreeSet<Ipv6Addr>| b.iter().any(|a| got.binary_search(a).is_err());
+        assert!(buckets.iter().filter(|b| b.len() == 1).any(left_out));
+        assert!(buckets
+            .iter()
+            .filter(|b| b.len() >= 2 && !has_fresh(b))
+            .any(left_out));
+        assert!(alias_candidates(traces, first_new, &AddrSet::new()).is_empty());
     }
 }
