@@ -21,6 +21,8 @@
 //!   bit-identical (after canonicalization) to the batch
 //!   [`RouterGraph::build_multi`] golden.
 
+#![forbid(unsafe_code)]
+
 pub mod graph;
 pub mod incremental;
 pub mod speedtrap;

@@ -25,6 +25,8 @@
 //! `yarrp6::campaign::run_campaign` does — the analysis passes
 //! themselves still consume only prober-visible data).
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod export;
 pub mod intern;

@@ -26,6 +26,8 @@
 //!   interface yield drops below this (the CI smoke gate sets 1.0:
 //!   adaptive must discover at least as much as static)
 
+#![forbid(unsafe_code)]
+
 use beholder::adaptive::{run_adaptive_parallel, AdaptiveConfig};
 use beholder_bench::fmt::human;
 use seeds::feedback::FeedbackParams;

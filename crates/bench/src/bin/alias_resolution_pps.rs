@@ -29,6 +29,8 @@
 //! * `BENCH_ALIAS_MIN_PRECISION` — fail when either phase's precision
 //!   drops below this (the CI smoke gate sets 0.9)
 
+#![forbid(unsafe_code)]
+
 use aliasres::{resolve_aliases, AliasConfig, AliasSets};
 use beholder::adaptive::{run_adaptive_parallel, AdaptiveConfig};
 use beholder_bench::fmt::human;

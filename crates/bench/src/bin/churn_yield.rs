@@ -23,6 +23,8 @@
 //!   interface yield drops below this (the CI gate sets 0.8, the
 //!   acceptance bar for losing one vantage of three)
 
+#![forbid(unsafe_code)]
+
 use beholder::adaptive::{run_adaptive_parallel, AdaptiveConfig};
 use beholder_bench::fmt::human;
 use seeds::feedback::FeedbackParams;

@@ -7,6 +7,8 @@
 //! measure (a) per-(target, TTL) responder conflicts and (b) the effect
 //! on path-divergence subnet inference, which relies on coherent paths.
 
+#![forbid(unsafe_code)]
+
 use analysis::{discover_by_path_div, PathDivParams, TraceSet};
 use beholder_bench::fmt::human;
 use beholder_bench::Scenario;

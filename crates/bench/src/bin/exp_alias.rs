@@ -3,6 +3,8 @@
 //! via fragment-identification counters, validate against ground truth,
 //! and report the interface-level → router-level graph reduction.
 
+#![forbid(unsafe_code)]
+
 use aliasres::speedtrap::{resolve_aliases, AliasConfig};
 use aliasres::RouterGraph;
 use analysis::TraceSet;

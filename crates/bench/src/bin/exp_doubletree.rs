@@ -2,6 +2,8 @@
 //! rates: probe cost, discovery, and the backward-probing pathology
 //! under ICMPv6 rate limiting.
 
+#![forbid(unsafe_code)]
+
 use beholder_bench::fmt::{header, human, row};
 use beholder_bench::Scenario;
 use simnet::Engine;

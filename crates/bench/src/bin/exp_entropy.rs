@@ -4,6 +4,8 @@
 //! fingerprint of how each source's collection bias shows up in the
 //! addresses themselves.
 
+#![forbid(unsafe_code)]
+
 use beholder_bench::Scenario;
 use std::net::Ipv6Addr;
 use v6addr::entropy::{EntropyProfile, SegmentClass};

@@ -2,6 +2,8 @@
 //! target set at 20pps from two vantages: interface discovery and
 //! non-Time-Exceeded response counts per protocol.
 
+#![forbid(unsafe_code)]
+
 use beholder_bench::fmt::{header, human, row};
 use beholder_bench::Scenario;
 use yarrp6::campaign::run_campaign;

@@ -2,6 +2,8 @@
 //! more-specific discoveries inside truth prefixes, and the stratified-
 //! sampling re-run that bounds discovery at truth granularity.
 
+#![forbid(unsafe_code)]
+
 use analysis::validate::{stratified_sample, validate};
 use analysis::{discover_by_path_div, PathDivParams, TraceSet};
 use beholder_bench::fmt::human;

@@ -4,6 +4,8 @@
 //! sets). The paper's headline: an order of magnitude more interfaces
 //! from a single vantage in a day, with only ~2x the traces.
 
+#![forbid(unsafe_code)]
+
 use beholder_bench::fmt::{header, human, row};
 use beholder_bench::Scenario;
 use simnet::Engine;

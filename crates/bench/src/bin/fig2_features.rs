@@ -2,6 +2,8 @@
 //! routed targets, BGP prefixes and ASNs, with the shared-vs-exclusive
 //! split (the main bars plus the "exclusive fraction" inset).
 
+#![forbid(unsafe_code)]
+
 use beholder_bench::fmt::{header, human, row};
 use beholder_bench::Scenario;
 use targets::{characterize, TargetSet};

@@ -3,6 +3,8 @@
 //! combination of all sets. A rightward shift from (a) to (b) means other
 //! sets interleave with — and add discriminating power to — this one.
 
+#![forbid(unsafe_code)]
+
 use beholder_bench::Scenario;
 use targets::TargetSet;
 

@@ -4,6 +4,8 @@
 //! sequential probing's near-hop responsiveness at high rates — and
 //! randomization's immunity — is the paper's central §4.2 result.
 
+#![forbid(unsafe_code)]
+
 use analysis::metrics::hop_responsiveness;
 use beholder_bench::Scenario;
 use simnet::Engine;

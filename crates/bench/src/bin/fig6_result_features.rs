@@ -2,6 +2,8 @@
 //! traces, discovered interfaces, their BGP prefixes and ASNs, with
 //! exclusive fractions (the companion of Table 7).
 
+#![forbid(unsafe_code)]
+
 use beholder_bench::fmt::{header, human, row};
 use beholder_bench::Scenario;
 use std::collections::{BTreeMap, BTreeSet};

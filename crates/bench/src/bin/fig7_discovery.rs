@@ -4,6 +4,8 @@
 //! guided breadth (caida) flattens early; random/6gen flatten after ~1M
 //! probes; cdn-k32 and tum keep discovering linearly.
 
+#![forbid(unsafe_code)]
+
 use beholder_bench::fmt::human;
 use beholder_bench::Scenario;
 use yarrp6::campaign::run_campaign;

@@ -2,6 +2,8 @@
 //! minimum prefix lengths per z64 target set, (b) counts by length,
 //! including the /64 "IA hack" discoveries.
 
+#![forbid(unsafe_code)]
+
 use analysis::{discover_by_path_div, ia_hack, PathDivParams, TraceSet};
 use beholder_bench::fmt::human;
 use beholder_bench::Scenario;

@@ -4,6 +4,8 @@
 //! build-per-probe reference. Writes `BENCH_hotpath.json` so the
 //! performance trajectory is tracked PR over PR.
 
+#![forbid(unsafe_code)]
+
 use simnet::config::TopologyConfig;
 use simnet::{Engine, Topology};
 use std::net::Ipv6Addr;

@@ -29,6 +29,8 @@
 //! * `BENCH_POISONED_MIN_RATIO` — fail when poisoned/clean unique-
 //!   interface yield drops below this (the CI gate sets 0.8)
 
+#![forbid(unsafe_code)]
+
 use beholder::adaptive::{run_adaptive_parallel, AdaptiveConfig};
 use beholder_bench::fmt::human;
 use seeds::feedback::FeedbackParams;

@@ -20,6 +20,8 @@
 //! * `BENCH_SNAPSHOT_DELTA_GATE` — when set (any value), run the
 //!   delta-seeding contract check and fail on violation
 
+#![forbid(unsafe_code)]
+
 use analysis::{read_sharded_snapshot, write_sharded_snapshot, ShardedTraceSet, TraceSet};
 use beholder::adaptive::{
     run_adaptive_delta, run_adaptive_parallel, AdaptiveConfig, DeltaSeedConfig,

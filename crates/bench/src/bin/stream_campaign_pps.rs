@@ -23,6 +23,8 @@
 //! * `BENCH_STREAM_MIN_RATIO` — fail when streaming/batch end-to-end
 //!   throughput drops below this (the CI regression gate)
 
+#![forbid(unsafe_code)]
+
 use analysis::{stream_campaign, TraceSet};
 use simnet::config::TopologyConfig;
 use simnet::EngineStats;

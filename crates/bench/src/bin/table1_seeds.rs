@@ -1,6 +1,8 @@
 //! Table 1 — Seed List Properties: size and addr6 IID classification of
 //! every seed list.
 
+#![forbid(unsafe_code)]
+
 use beholder_bench::fmt::{human, pct};
 use beholder_bench::Scenario;
 use v6addr::IidClass;

@@ -2,6 +2,8 @@
 //! and the unique union (our synthetic analogues of rapid7-dnsany,
 //! caida-dnsnames/traceroute/openipmap, and ct/alexa).
 
+#![forbid(unsafe_code)]
+
 use beholder_bench::fmt::{header, human, row};
 use beholder_bench::Scenario;
 use rand::rngs::SmallRng;

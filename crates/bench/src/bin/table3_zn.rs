@@ -4,6 +4,8 @@
 //! interface addresses, and addresses discovered *exclusively* at each
 //! transformation level.
 
+#![forbid(unsafe_code)]
+
 use beholder_bench::fmt::{header, human, row};
 use beholder_bench::Scenario;
 use std::collections::{BTreeMap, BTreeSet};

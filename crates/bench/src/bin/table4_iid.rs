@@ -8,6 +8,8 @@
 //! unreachable) while lowbyte1/fixediid barely do — only manifests with
 //! a transport that end hosts answer with errors.
 
+#![forbid(unsafe_code)]
+
 use beholder_bench::fmt::pct;
 use beholder_bench::Scenario;
 use std::collections::BTreeMap;

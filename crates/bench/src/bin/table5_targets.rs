@@ -2,6 +2,8 @@
 //! targets, BGP prefix and ASN coverage, and 6to4 membership for every
 //! `(source, zn)` target set.
 
+#![forbid(unsafe_code)]
+
 use beholder_bench::fmt::{header, human, row};
 use beholder_bench::Scenario;
 use targets::{characterize, TargetSet};

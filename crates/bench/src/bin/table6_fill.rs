@@ -2,6 +2,8 @@
 //! and yield for maximum TTL ∈ {4, 8, 16, 32} against the CAIDA target
 //! set (fill cap 32).
 
+#![forbid(unsafe_code)]
+
 use beholder_bench::fmt::{header, human, row};
 use beholder_bench::Scenario;
 use yarrp6::campaign::run_campaign;

@@ -2,6 +2,8 @@
 //! 18 target sets each (9 sources × z48/z64), reverse-sorted by
 //! interface yield. Also prints the ALL / per-vantage summary rows.
 
+#![forbid(unsafe_code)]
+
 use analysis::metrics::CampaignMetrics;
 use beholder_bench::fmt::{header, human, pct, row};
 use beholder_bench::Scenario;

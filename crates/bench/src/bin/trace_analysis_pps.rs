@@ -11,6 +11,8 @@
 //! production scale and shuffled into the unordered arrival a stateless
 //! prober actually sees. Inference runs on the real per-vantage traces.
 
+#![forbid(unsafe_code)]
+
 use analysis::{discover_by_path_div, ia_hack, reference, AsnResolver, PathDivParams, TraceSet};
 use simnet::config::TopologyConfig;
 use std::net::Ipv6Addr;

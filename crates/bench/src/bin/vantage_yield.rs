@@ -25,6 +25,8 @@
 //!   below this (the CI smoke gate sets 1.2: vantage diversity must
 //!   keep paying)
 
+#![forbid(unsafe_code)]
+
 use analysis::{
     stream_multi_vantage_parallel, vantage_contributions, vantage_jaccard, vantage_union_count,
 };

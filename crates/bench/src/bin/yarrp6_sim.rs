@@ -17,6 +17,8 @@
 //!     --scale tiny --set caida-z64 --rate 2000 --out-csv /tmp/run.csv
 //! ```
 
+#![forbid(unsafe_code)]
+
 use seeds::sources::SeedCatalog;
 use simnet::config::TopologyConfig;
 use simnet::Scale;

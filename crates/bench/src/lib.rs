@@ -5,6 +5,8 @@
 //! default small) and a fixed master seed, so experiment outputs are
 //! reproducible and mutually consistent.
 
+#![forbid(unsafe_code)]
+
 pub mod fmt;
 pub mod seed_baseline;
 

@@ -30,6 +30,8 @@
 //!   retries failed or blacked-out campaigns with deterministic
 //!   virtual-time backoff.
 
+#![forbid(unsafe_code)]
+
 pub mod addrset;
 pub mod campaign;
 pub mod doubletree;

@@ -78,6 +78,15 @@ impl Default for YarrpConfig {
 /// don't pre-commit gigabytes.
 const MAX_RESERVE: usize = 1 << 20;
 
+/// Prefetch distance of [`run_with_sink`], in permutation steps. The
+/// permutation is known ahead, so the prober keeps the next
+/// `2 * LOOKAHEAD` values in a ring: a value entering the ring
+/// prefetches its target's template, and one `LOOKAHEAD` steps from
+/// being probed prefetches its path-cache slot ([`Engine::prefetch`]).
+/// Random-order probing lands almost every probe on a cold target, so
+/// these hints overlap the misses the probe would otherwise stall on.
+pub const LOOKAHEAD: usize = 16;
+
 /// The prober's per-campaign hot-path state: per-target wire templates
 /// and one reused response buffer. Steady state allocates nothing per
 /// probe — templates render in place and the engine refills `delivery`.
@@ -248,9 +257,32 @@ pub fn run_with_sink<S: RecordSink>(
     let mut last_new = vec![0u64; 256];
     let mut seen_ifaces = AddrSet::new();
 
-    for v in perm.iter() {
-        let tidx = (v / ttl_span) as usize;
-        let ttl = (v % ttl_span) as u8 + 1;
+    // Lookahead ring: slot `i % WINDOW` holds permutation value `i`,
+    // split into (target index, TTL), until step `i` consumes it and
+    // refills it with value `i + WINDOW`. Each value is computed and
+    // split once, as the plain `perm.iter()` loop would.
+    const WINDOW: usize = 2 * LOOKAHEAD;
+    let (window, lookahead) = (WINDOW as u64, LOOKAHEAD as u64);
+    let split = |v: u64| ((v / ttl_span) as usize, (v % ttl_span) as u8 + 1);
+    let mut ring = [(0usize, 0u8); WINDOW];
+    for (i, slot) in (0..n.min(window)).zip(ring.iter_mut()) {
+        *slot = split(perm.apply(i));
+        simnet::hint::prefetch(&hot.templates[slot.0]);
+    }
+
+    for i in 0..n {
+        let slot = (i % window) as usize;
+        let (tidx, ttl) = ring[slot];
+        if i + window < n {
+            ring[slot] = split(perm.apply(i + window));
+            simnet::hint::prefetch(&hot.templates[ring[slot].0]);
+        }
+        if i + lookahead < n {
+            let (near, _) = ring[((i + lookahead) % window) as usize];
+            if let Some(t) = &hot.templates[near] {
+                hot.engine.prefetch(t.wire());
+            }
+        }
 
         if let Some(nb) = cfg.neighborhood {
             if ttl <= nb.max_ttl

@@ -24,6 +24,8 @@
 //! (kIP aggregation + 6Gen expansion over discovered interfaces), which
 //! is what the adaptive multi-round orchestrator feeds between rounds.
 
+#![forbid(unsafe_code)]
+
 pub mod feedback;
 pub mod kip;
 pub mod sixgen;

@@ -13,9 +13,9 @@
 
 use crate::adversarial::{AdversarialClass, HostileIndex, STORM_SPREAD};
 use crate::flow::{self, FlowKey};
-use crate::pathcache::PathCache;
+use crate::pathcache::{PathCache, PathFate};
 use crate::ratelimit::TokenBucket;
-use crate::route::{self, DestEntry, ResolvedPath};
+use crate::route::{self, DestEntry};
 use crate::topology::{HostKind, RouterId, Topology, UnknownAddrPolicy};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -251,16 +251,26 @@ impl EngineStats {
 }
 
 /// The simulation engine for one probing campaign.
+///
+/// Per-probe state lives in flat tables: token buckets and fragment
+/// counters indexed by router, and the path cache. Each
+/// `(vantage, dst, flow)` the engine has seen owns one inline slot there
+/// holding the path's whole fate (hop range in the shared hop arena,
+/// destination class, firewall hop, the router owning the destination
+/// address), so a warm probe pays one slot read and one hop-range read.
+/// Probers that know their upcoming probes can warm those slots ahead
+/// of time with [`Engine::prefetch`].
 pub struct Engine {
     topo: Arc<Topology>,
     buckets: Vec<TokenBucket>,
-    /// `(vantage, dst, flow)` → index into `paths`: an open-addressed
-    /// table bucketed directly by the premixed flow hash. A hit costs a
-    /// masked index and one key compare — no SipHash, no `Arc`
-    /// refcount traffic.
+    /// `(vantage, dst, flow)` → the path's whole resolved fate, inline
+    /// in an open-addressed slot bucketed directly by the premixed flow
+    /// hash. A hit costs a masked index and one key compare — no
+    /// SipHash, no pointer chase to a path record.
     path_cache: PathCache,
-    /// Resolved paths, indexed by `path_cache` values.
-    paths: Vec<ResolvedPath>,
+    /// Every cached path's hops, back to back; a [`PathFate`] names its
+    /// range. Append-only: paths never change under a fixed topology.
+    hop_arena: Vec<RouterId>,
     /// Per-router fragment-identification counters: one monotonic
     /// counter shared by all of a router's interfaces (the speedtrap
     /// alias signal). Seeded per router so counters are unsynchronized.
@@ -307,7 +317,7 @@ impl Engine {
             topo,
             buckets,
             path_cache: PathCache::new(),
-            paths: Vec::new(),
+            hop_arena: Vec::new(),
             frag_counters,
             faults,
             has_faults,
@@ -354,31 +364,43 @@ impl Engine {
         self.stats = EngineStats::default();
     }
 
-    /// Resolves (with caching) the forward path a probe with this header
-    /// and flow takes, returning its index into the engine's path table
-    /// (see [`Self::path`]).
-    pub fn resolve_path_idx(
-        &mut self,
-        vantage_idx: u8,
-        dst: std::net::Ipv6Addr,
-        flow_hash: u64,
-    ) -> u32 {
+    /// The cached fate of the path a probe from `vantage_idx` to `dst`
+    /// under `flow_hash` takes, resolving and filling its slot on a
+    /// miss. The destination's owning router is looked up here, once
+    /// per slot, instead of per probe.
+    fn path_fate(&mut self, vantage_idx: u8, dst: std::net::Ipv6Addr, flow_hash: u64) -> PathFate {
         let dst_word = u128::from(dst);
-        if let Some(i) = self.path_cache.get(vantage_idx, dst_word, flow_hash) {
-            return i;
+        if let Some(fate) = self.path_cache.get(vantage_idx, dst_word, flow_hash) {
+            return fate;
         }
         let v = &self.topo.vantages[vantage_idx as usize];
         let p = route::resolve(&self.topo, v, dst, flow_hash);
-        let idx = self.paths.len() as u32;
-        self.paths.push(p);
+        let fate = PathFate::new(
+            u32::try_from(self.hop_arena.len()).expect("hop arena exceeds u32 offsets"),
+            u16::try_from(p.hops.len()).expect("path exceeds u16 hops"),
+            p.firewall_hop,
+            p.dest,
+            self.topo.router_by_iface(dst),
+        );
+        self.hop_arena.extend_from_slice(&p.hops);
         self.path_cache
-            .insert(vantage_idx, dst_word, flow_hash, idx);
-        idx
+            .insert(vantage_idx, dst_word, flow_hash, fate);
+        fate
     }
 
-    /// The resolved path behind an index from [`Self::resolve_path_idx`].
-    pub fn path(&self, idx: u32) -> &ResolvedPath {
-        &self.paths[idx as usize]
+    /// Hints the CPU to pull the path-cache slot `wire`'s probe would
+    /// hit into cache, so a prober that knows its next probes can
+    /// overlap their misses. A pure hint: it changes no state and no
+    /// [`stats`](Self::stats), and does nothing for a wire too short or
+    /// malformed to carry a flow key.
+    #[inline]
+    pub fn prefetch(&self, wire: &[u8]) {
+        let Some(hdr) = Ipv6Header::decode(wire) else {
+            return;
+        };
+        if let Some((_, flow_hash)) = flow_key(&hdr, &wire[ip6::HEADER_LEN..]) {
+            self.path_cache.prefetch(flow_hash);
+        }
     }
 
     /// Ground-truth suppression counts straight from the token buckets
@@ -416,7 +438,12 @@ impl Engine {
     /// produced.
     ///
     /// This is the zero-allocation hot path: with a warm path cache and
-    /// a reused `out`, no heap allocation occurs per probe.
+    /// a reused `out`, no heap allocation occurs per probe. The probe's
+    /// path is resolved once per `(vantage, dst, flow)` and kept in one
+    /// inline cache slot; later probes on the same flow read that slot
+    /// and the path's hop range, nothing else. A preceding
+    /// [`prefetch`](Self::prefetch) of the same wire changes nothing
+    /// here but latency.
     pub fn inject_into(&mut self, wire: &[u8], now_us: u64, out: &mut Delivery) -> bool {
         self.stats.probes += 1;
         let Some(hdr) = Ipv6Header::decode(wire) else {
@@ -446,40 +473,20 @@ impl Engine {
 
         // Flow key from the transport header.
         let body = &wire[ip6::HEADER_LEN.min(wire.len())..];
-        let (sport, dport) = match hdr.next_header {
-            proto_num::TCP | proto_num::UDP if body.len() >= 4 => (
-                u16::from_be_bytes([body[0], body[1]]),
-                u16::from_be_bytes([body[2], body[3]]),
-            ),
-            proto_num::ICMP6 if body.len() >= 8 => (
-                u16::from_be_bytes([body[4], body[5]]),
-                u16::from_be_bytes([body[6], body[7]]),
-            ),
-            _ => {
-                self.stats.malformed += 1;
-                return false;
-            }
+        let Some((fk, flow_hash)) = flow_key(&hdr, body) else {
+            self.stats.malformed += 1;
+            return false;
         };
-        let fk = FlowKey {
-            src: hdr.src,
-            dst: hdr.dst,
-            flow_label: hdr.flow_label,
-            proto: hdr.next_header,
-            sport,
-            dport,
-        };
-        let flow_hash = fk.hash();
-        let pidx = self.resolve_path_idx(vidx, hdr.dst, flow_hash) as usize;
+        let (sport, dport) = (fk.sport, fk.dport);
+        // The fate is a copy, so `self` stays free for the mutable
+        // responder calls below; hop ids are re-read from the arena per
+        // branch.
+        let fate = self.path_fate(vidx, hdr.dst, flow_hash);
         let vaddr = self.topo.vantages[vidx as usize].addr;
         let is_icmp = hdr.next_header == proto_num::ICMP6;
         let dst_word = u128::from(hdr.dst);
         let ttl = hdr.hop_limit as usize;
-        // Scalars copied out of the path so `self` stays free for the
-        // mutable responder calls below; hop ids are re-read per branch.
-        let (hops_len, firewall_hop, dest) = {
-            let p = &self.paths[pidx];
-            (p.len(), p.firewall_hop, p.dest)
-        };
+        let (hops_len, firewall_hop, dest) = (fate.hops_len as usize, fate.firewall_hop, fate.dest);
 
         // Injected link faults drop the probe at the first traversed
         // hop whose inbound link is down — checked before loss and
@@ -488,7 +495,7 @@ impl Engine {
             let fnow = now_us.saturating_add(self.fault_offset_us);
             let traversed = ttl.min(hops_len);
             let mut hit = None;
-            for &h in &self.paths[pidx].hops[..traversed] {
+            for &h in &self.hop_arena[fate.hops()][..traversed] {
                 if let Some(kind) = self.faults.link_down(h, fnow) {
                     hit = Some(kind);
                     break;
@@ -525,7 +532,7 @@ impl Engine {
             let scan = hops_len.min(ttl.saturating_sub(1));
             let mut hit = None;
             {
-                let hops = &self.paths[pidx].hops;
+                let hops = &self.hop_arena[fate.hops()];
                 for (i, &h) in hops[..scan].iter().enumerate() {
                     if self.hostile.mask(h) == 0 {
                         continue;
@@ -579,7 +586,7 @@ impl Engine {
                     return false;
                 }
                 let (router, prev) = {
-                    let hops = &self.paths[pidx].hops;
+                    let hops = &self.hop_arena[fate.hops()];
                     (hops[f as usize], prev_hop_key(hops, f as usize, vidx))
                 };
                 return self.router_error(
@@ -608,7 +615,7 @@ impl Engine {
                 return false;
             }
             let (router, prev) = {
-                let hops = &self.paths[pidx].hops;
+                let hops = &self.hop_arena[fate.hops()];
                 (hops[ttl - 1], prev_hop_key(hops, ttl - 1, vidx))
             };
             let info = &self.topo.routers[router.0 as usize];
@@ -656,7 +663,7 @@ impl Engine {
         // probing): the router answers echoes itself; oversized echoes
         // force fragmentation and expose the shared identification
         // counter.
-        if let Some(rid) = self.topo.router_by_iface(hdr.dst) {
+        if let Some(rid) = fate.dst_router() {
             let info = &self.topo.routers[rid.0 as usize];
             if !info.responsive {
                 self.stats.silent_router += 1;
@@ -760,7 +767,7 @@ impl Engine {
             }
             DestEntry::NoHost { responder } => {
                 let prev = {
-                    let hops = &self.paths[pidx].hops;
+                    let hops = &self.hop_arena[fate.hops()];
                     prev_hop_key(hops, hops.len(), vidx)
                 };
                 self.dest_policy_response(
@@ -777,7 +784,7 @@ impl Engine {
             }
             DestEntry::NoSubnet { responder } => {
                 let prev = {
-                    let hops = &self.paths[pidx].hops;
+                    let hops = &self.hop_arena[fate.hops()];
                     prev_hop_key(hops, hops.len(), vidx)
                 };
                 self.dest_policy_response(
@@ -798,7 +805,7 @@ impl Engine {
                     return false;
                 }
                 let prev = {
-                    let hops = &self.paths[pidx].hops;
+                    let hops = &self.hop_arena[fate.hops()];
                     prev_hop_key(hops, hops.len(), vidx)
                 };
                 let r = self.router_error(
@@ -1030,6 +1037,33 @@ fn garble_bytes(bytes: &mut Vec<u8>, key: u64) {
             bytes[pos] ^= ((key >> 32) as u8) | 1;
         }
     }
+}
+
+/// The flow key of a decoded probe header and its transport `body`,
+/// with its hash; `None` when the transport header is too short or of
+/// an unknown protocol.
+#[inline]
+fn flow_key(hdr: &Ipv6Header, body: &[u8]) -> Option<(FlowKey, u64)> {
+    let (sport, dport) = match hdr.next_header {
+        proto_num::TCP | proto_num::UDP if body.len() >= 4 => (
+            u16::from_be_bytes([body[0], body[1]]),
+            u16::from_be_bytes([body[2], body[3]]),
+        ),
+        proto_num::ICMP6 if body.len() >= 8 => (
+            u16::from_be_bytes([body[4], body[5]]),
+            u16::from_be_bytes([body[6], body[7]]),
+        ),
+        _ => return None,
+    };
+    let fk = FlowKey {
+        src: hdr.src,
+        dst: hdr.dst,
+        flow_label: hdr.flow_label,
+        proto: hdr.next_header,
+        sport,
+        dport,
+    };
+    Some((fk, fk.hash()))
 }
 
 /// Direction key for the hop at `idx` in `hops`: the previous router's
@@ -1781,5 +1815,120 @@ mod middlebox_tests {
         assert!(saw_clean, "transit quotations must stay clean");
         assert!(saw_rewrite, "interior quotations must be rewritten");
         assert!(e.stats.rewritten_quotes > 0);
+    }
+}
+
+#[cfg(test)]
+mod path_slot_tests {
+    use super::*;
+    use crate::config::TopologyConfig;
+    use crate::generate::generate;
+
+    /// Destinations of every fate class: live hosts, router interfaces,
+    /// unassigned space inside subnet plans and announced prefixes, and
+    /// unrouted space.
+    fn fate_fixture(topo: &Topology) -> Vec<std::net::Ipv6Addr> {
+        let mut dsts: Vec<std::net::Ipv6Addr> = topo.hosts().map(|(a, _)| a).take(1500).collect();
+        dsts.extend(topo.routers.iter().flat_map(|r| r.all_addrs()).take(1500));
+        dsts.extend(
+            topo.subnets
+                .iter()
+                .enumerate()
+                .map(|(i, s)| s.prefix.addr(flow::mix64(i as u64) as u128))
+                .take(1200),
+        );
+        dsts.extend(
+            topo.ases
+                .iter()
+                .flat_map(|a| a.prefixes.iter().map(|p| p.addr(1))),
+        );
+        dsts.extend((0..400u64).map(|i| {
+            let w = (flow::mix64(i) as u128) << 64 | flow::mix64(!i) as u128;
+            // Half in fd00::/8 (never announced), half anywhere.
+            std::net::Ipv6Addr::from(if i % 2 == 0 { 0xfd << 120 | w } else { w })
+        }));
+        dsts
+    }
+
+    /// Checks one cached fate against a fresh resolve of its key.
+    fn assert_fate_matches_resolver(
+        e: &Engine,
+        key: (u8, std::net::Ipv6Addr, u64),
+        fate: PathFate,
+    ) {
+        let (v, dst, flow_hash) = key;
+        let topo = e.topology();
+        let want = route::resolve(topo, &topo.vantages[v as usize], dst, flow_hash);
+        assert_eq!(&e.hop_arena[fate.hops()], &want.hops[..], "hops of {key:?}");
+        assert_eq!(fate.dest, want.dest, "dest of {key:?}");
+        assert_eq!(
+            fate.firewall_hop, want.firewall_hop,
+            "firewall hop of {key:?}"
+        );
+        assert_eq!(
+            fate.dst_router(),
+            topo.router_by_iface(dst),
+            "dst router of {key:?}"
+        );
+    }
+
+    #[test]
+    fn path_slots_match_the_resolver() {
+        for topo in [
+            generate(TopologyConfig::tiny(42)),
+            generate(TopologyConfig::tiled(3, 2)),
+        ] {
+            let mut e = Engine::new(Arc::new(topo));
+            let dsts = fate_fixture(e.topology());
+            let mut keys = Vec::new();
+            for (i, &dst) in dsts.iter().enumerate() {
+                for v in 0..e.topology().vantages.len() as u8 {
+                    for salt in [0u64, 0x5eed] {
+                        keys.push((v, dst, flow::mix2(i as u64 ^ salt, v as u64)));
+                    }
+                }
+            }
+            // Fill: every slot is checked as it is created, so a fate
+            // built wrong is caught before later growths move it.
+            let (mut hosts, mut no_host, mut no_subnet, mut unrouted) = (0, 0, 0, 0);
+            let (mut routers, mut firewalled) = (0, 0);
+            for &(v, dst, fh) in &keys {
+                let fate = e.path_fate(v, dst, fh);
+                assert_fate_matches_resolver(&e, (v, dst, fh), fate);
+                match fate.dest {
+                    DestEntry::Host(_) => hosts += 1,
+                    DestEntry::NoHost { .. } => no_host += 1,
+                    DestEntry::NoSubnet { .. } => no_subnet += 1,
+                    DestEntry::Unrouted { .. } => unrouted += 1,
+                }
+                routers += fate.dst_router().is_some() as usize;
+                firewalled += fate.firewall_hop.is_some() as usize;
+            }
+            for (what, n) in [
+                ("host", hosts),
+                ("no-host", no_host),
+                ("no-subnet", no_subnet),
+                ("unrouted", unrouted),
+                ("router-interface", routers),
+                ("firewalled", firewalled),
+            ] {
+                assert!(n > 0, "fixture must reach {what} fates");
+            }
+            // Several doublings past the initial 1024 slots.
+            assert_eq!(e.path_cache.len(), keys.len());
+            assert!(keys.len() > 16 * 1024, "only {} keys", keys.len());
+            // Every slot again after all growths, then after a reset
+            // (which keeps the cache): hits, no new slots.
+            for round in 0..2 {
+                for &(v, dst, fh) in &keys {
+                    let fate = e.path_cache.get(v, u128::from(dst), fh);
+                    let fate = fate.unwrap_or_else(|| panic!("round {round}: slot lost"));
+                    assert_fate_matches_resolver(&e, (v, dst, fh), fate);
+                    assert_eq!(e.path_fate(v, dst, fh), fate);
+                }
+                assert_eq!(e.path_cache.len(), keys.len());
+                e.reset();
+            }
+        }
     }
 }

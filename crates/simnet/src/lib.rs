@@ -26,12 +26,17 @@
 //! serialized probe packet and returns the serialized response (if any),
 //! exactly as a raw socket would — the prober on top stays honest.
 
+// The workspace's one `unsafe` block is the prefetch in `hint`, under an
+// `allow`; the other library and binary roots forbid `unsafe` outright.
+#![deny(unsafe_code)]
+
 pub mod adversarial;
 pub mod config;
 pub mod engine;
 pub mod fault;
 pub mod flow;
 pub mod generate;
+pub mod hint;
 pub mod pathcache;
 pub mod ratelimit;
 pub mod route;

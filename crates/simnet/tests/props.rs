@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use simnet::config::TopologyConfig;
 use simnet::generate::generate;
-use simnet::Engine;
+use simnet::{Delivery, Engine};
 use std::sync::Arc;
 use v6packet::probe::{ProbeSpec, Protocol};
 
@@ -94,6 +94,51 @@ proptest! {
                 prop_assert_eq!(x.bytes, y.bytes);
             }
             _ => prop_assert!(false, "nondeterministic delivery"),
+        }
+    }
+
+    /// `Engine::prefetch` is a pure hint: on arbitrary bytes, on a real
+    /// probe and on a truncated one, it leaves the stats and the next
+    /// `inject_into` result exactly as an engine that never saw it.
+    #[test]
+    fn prefetch_is_output_neutral(
+        bytes in prop::collection::vec(any::<u8>(), 0..200),
+        dst: u128,
+        ttl in 1u8..=32,
+        proto in 0usize..3,
+        vantage in 0u8..3,
+        cut in 0usize..80,
+        t in 0u64..1_000_000,
+    ) {
+        let topo = topo();
+        let spec = ProbeSpec {
+            src: topo.vantages[vantage as usize].addr,
+            target: std::net::Ipv6Addr::from(dst),
+            protocol: [Protocol::Icmp6, Protocol::Udp, Protocol::Tcp][proto],
+            ttl,
+            instance: 1,
+            elapsed_us: t as u32,
+        };
+        let wire = spec.build();
+        let mut hinted = Engine::new(topo.clone());
+        let mut plain = Engine::new(topo.clone());
+        // Warm both with the same probe so the hint meets a filled slot.
+        let (mut dh, mut dp) = (Delivery::default(), Delivery::default());
+        hinted.inject_into(&wire, t, &mut dh);
+        plain.inject_into(&wire, t, &mut dp);
+        hinted.prefetch(&bytes);
+        hinted.prefetch(&wire);
+        hinted.prefetch(&wire[..cut.min(wire.len())]);
+        prop_assert_eq!(hinted.stats, plain.stats);
+        for w in [&bytes[..], &wire[..]] {
+            let a = hinted.inject_into(w, t + 1_000, &mut dh);
+            let b = plain.inject_into(w, t + 1_000, &mut dp);
+            prop_assert_eq!(a, b);
+            if a {
+                prop_assert_eq!(dh.at_us, dp.at_us);
+                prop_assert_eq!(&dh.bytes, &dp.bytes);
+            }
+            prop_assert_eq!(hinted.stats, plain.stats);
         }
     }
 }

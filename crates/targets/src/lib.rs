@@ -15,6 +15,8 @@
 //! * [`pipeline`] — builds the full 18-set catalog (9 sources × z48/z64)
 //!   used by the probing campaigns.
 
+#![forbid(unsafe_code)]
+
 pub mod pipeline;
 pub mod synthesize;
 pub mod transform;

@@ -19,6 +19,8 @@
 //! All address math is done on `u128` in network bit order (bit 0 is the
 //! most significant bit of the address).
 
+#![forbid(unsafe_code)]
+
 pub mod bgp;
 pub mod bits;
 pub mod dpl;

@@ -19,6 +19,8 @@
 //! rather than panics, since real responses traverse middleboxes that
 //! rewrite and truncate.
 
+#![forbid(unsafe_code)]
+
 pub mod csum;
 pub mod frag;
 pub mod icmp6;

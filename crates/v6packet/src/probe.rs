@@ -428,6 +428,14 @@ impl ProbeTemplate {
         self.len as usize
     }
 
+    /// The wire image as last rendered, without rendering. Its flow-key
+    /// fields (addresses, protocol, ports or identifier) are per-target
+    /// constants, so it serves hints that need only the flow key, such
+    /// as a lookahead cache prefetch.
+    pub fn wire(&self) -> &[u8] {
+        &self.wire[..self.len as usize]
+    }
+
     /// Patches the hop limit, payload ttl/elapsed, and fudge, returning
     /// the ready-to-send wire bytes. Byte-identical to
     /// [`ProbeSpec::build`] with the same fields.

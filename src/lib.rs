@@ -58,6 +58,8 @@
 //! assert!(!result.log.interface_addrs().is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod checkpoint;
 

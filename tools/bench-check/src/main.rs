@@ -23,6 +23,8 @@
 //! hand-rolls the reading: a tiny scanner that extracts `"key": value`
 //! pairs, which is all these flat files need.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 /// Fraction of the baseline headline the fresh value may lose before
